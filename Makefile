@@ -76,10 +76,11 @@ cover:
 	go test -cover ./internal/... ./cmd/... .
 
 # fuzz gives each bus round-trip fuzz target, the memo canonical-key
-# target, the batch decode/partition target, the job-engine wire
-# target (optimize request + checkpoint snapshot), and the kernel
-# equivalence targets (fused vs unfused, and codegen vs fused,
-# bit-identity including budget exhaustion) a budget of FUZZTIME
+# target, the batch decode/partition target, the predict equivalence
+# target (artifact path vs the library fit, bit-identity), the
+# job-engine wire target (optimize request + checkpoint snapshot), and
+# the kernel equivalence targets (fused vs unfused, and codegen vs
+# fused, bit-identity including budget exhaustion) a budget of FUZZTIME
 # (override with e.g. `make fuzz FUZZTIME=5s` for CI smoke runs).
 fuzz:
 	for f in FuzzBusInvertRoundTrip FuzzT0RoundTrip FuzzGrayRoundTrip \
@@ -88,6 +89,7 @@ fuzz:
 	done
 	go test -run '^FuzzCanonicalKey$$' -fuzz '^FuzzCanonicalKey$$' -fuzztime $(FUZZTIME) ./internal/memo/
 	go test -run '^FuzzBatchRequest$$' -fuzz '^FuzzBatchRequest$$' -fuzztime $(FUZZTIME) ./internal/service/
+	go test -run '^FuzzPredictEquivalence$$' -fuzz '^FuzzPredictEquivalence$$' -fuzztime $(FUZZTIME) ./internal/service/
 	go test -run '^FuzzRecipeWire$$' -fuzz '^FuzzRecipeWire$$' -fuzztime $(FUZZTIME) ./internal/jobs/
 	go test -run '^FuzzFusedEquivalence$$' -fuzz '^FuzzFusedEquivalence$$' -fuzztime $(FUZZTIME) ./internal/sim/
 	go test -run '^FuzzCodegenEquivalence$$' -fuzz '^FuzzCodegenEquivalence$$' -fuzztime $(FUZZTIME) ./internal/sim/

@@ -395,6 +395,28 @@ func main() {
 	snap.Results = append(snap.Results, fusedEntry)
 	batchTS.Close()
 
+	// Macro-model characterization (/v1/predict's compute) per model
+	// type over the service's cached compiled artifact. No memo, so every
+	// op simulates the training and evaluation streams and fits the
+	// model; the shape matches the predicts of perfbench's mixed-repeat
+	// workload. allocs_per_op is the figure benchcompare gates.
+	predictSvc := &service.Local{}
+	for _, model := range []string{"pfa", "dbt", "bitwise", "io"} {
+		req := service.PredictRequest{Circuit: "multiplier", Width: 8, Model: model, Train: 256, Eval: 256, Seed: 1}
+		if _, err := predictSvc.Predict(context.Background(), nil, req); err != nil {
+			fatal(err)
+		}
+		e := measure("service/predict/"+model, 0, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := predictSvc.Predict(context.Background(), nil, req); err != nil {
+					fatal(err)
+				}
+			}
+		})
+		e.Variant = "fused"
+		snap.Results = append(snap.Results, e)
+	}
+
 	// Durable-job engine: per-candidate cost of one recipe-search step
 	// through the full engine path — candidate derivation, pass
 	// application, functional-equivalence verification, power

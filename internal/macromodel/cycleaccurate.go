@@ -32,9 +32,9 @@ type CycleAccurateModel struct {
 // of adjacent toggle pairs (order two) and triples (order three).
 func candidateFeatures(wa, wb int, correlations bool, outFn func(a, b uint64) uint64, aPrev, bPrev, aCur, bCur uint64) []float64 {
 	n := 2*(wa+wb) + 2
-	f := make([]float64, 0, n)
-	toggles := bitwiseFeatures(wa, wb, aPrev, bPrev, aCur, bCur)
-	f = append(f, toggles...)
+	f := make([]float64, wa+wb, n)
+	bitwiseFeatures(f, wa, wb, aPrev, bPrev, aCur, bCur)
+	toggles := f[:wa+wb]
 	for i := 0; i < wa; i++ {
 		if bitutil.Bit(aCur, i) {
 			f = append(f, 1)
@@ -80,7 +80,7 @@ func fitCycleAccurate(mod *rtlib.Module, trainA, trainB []uint64, maxVars int, f
 	if err != nil {
 		return nil, err
 	}
-	outFn, _, err := functionalOutput(mod)
+	outFn, err := functionalOutput(mod)
 	if err != nil {
 		return nil, err
 	}

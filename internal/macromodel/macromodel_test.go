@@ -3,6 +3,7 @@ package macromodel
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"hlpower/internal/rtlib"
@@ -403,5 +404,117 @@ func TestCompactedStreamPreservesPowerEstimate(t *testing.T) {
 	}
 	if rel := stats.RelError(es, ef); rel > 0.08 {
 		t.Errorf("compacted-stream power %v vs full %v: error %v too large", es, ef, rel)
+	}
+}
+
+// TestFitFromRejectsMismatchedTruth: the From fits check the supplied
+// trace (and the IO model's output words) against the stream length
+// instead of indexing past either.
+func TestFitFromRejectsMismatchedTruth(t *testing.T) {
+	mod := rtlib.NewAdder(testWidth)
+	as, bs := trainStreams(8, 20)
+	truth, err := GroundTruth(mod, as, bs, sim.ZeroDelay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	short := truth[1:]
+	if _, err := FitPFAFrom(mod, as, bs, short); err == nil {
+		t.Error("PFA accepted a short trace")
+	}
+	if _, err := FitDBTFrom(mod, as, bs, short); err == nil {
+		t.Error("DBT accepted a short trace")
+	}
+	if _, err := FitBitwiseFrom(mod, as, bs, short); err == nil {
+		t.Error("bitwise accepted a short trace")
+	}
+	outs := make([]uint64, len(as))
+	if _, err := FitIOFrom(mod, as, bs, short, outs); err == nil {
+		t.Error("IO accepted a short trace")
+	}
+	if _, err := FitIOFrom(mod, as, bs, truth, outs[1:]); err == nil {
+		t.Error("IO accepted short output words")
+	}
+}
+
+// TestIOPredictWordsMatchesStream: fed the functional output words,
+// PredictWords reproduces PredictStream bit for bit, and a model from
+// FitIOFrom (no evaluator supplied) builds its own for PredictCycle.
+func TestIOPredictWordsMatchesStream(t *testing.T) {
+	mod := rtlib.NewMultiplier(6)
+	rng := rand.New(rand.NewSource(9))
+	as, bs := trace.Uniform(300, 6, rng), trace.Uniform(300, 6, rng)
+	res, err := mod.SimulateStream(as, bs, sim.ZeroDelay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outs := make([]uint64, len(res.Outputs))
+	for i, o := range res.Outputs {
+		outs[i] = mod.OutputWord(o)
+	}
+	fitted, err := FitIO(mod, as, bs, sim.ZeroDelay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	from, err := FitIOFrom(mod, as, bs, res.PerCycleCap[1:], outs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ta, tb := trace.Uniform(129, 6, rng), trace.Uniform(129, 6, rng)
+	tres, err := mod.SimulateStream(ta, tb, sim.ZeroDelay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	touts := make([]uint64, len(tres.Outputs))
+	for i, o := range tres.Outputs {
+		touts[i] = mod.OutputWord(o)
+	}
+	want := fitted.PredictStream(ta, tb)
+	for name, got := range map[string]float64{
+		"FitIO/PredictWords":      fitted.PredictWords(ta, tb, touts),
+		"FitIOFrom/PredictStream": from.PredictStream(ta, tb),
+		"FitIOFrom/PredictWords":  from.PredictWords(ta, tb, touts),
+	} {
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s = %v, want PredictStream's %v", name, got, want)
+		}
+	}
+}
+
+// TestIOModelConcurrentFirstUse: goroutines sharing a FitIOFrom model
+// race to build its output evaluator; every one gets the same figure.
+func TestIOModelConcurrentFirstUse(t *testing.T) {
+	mod := rtlib.NewAdder(testWidth)
+	as, bs := trainStreams(10, 200)
+	fitted, err := FitIO(mod, as, bs, sim.ZeroDelay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	truth, err := GroundTruth(mod, as, bs, sim.ZeroDelay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outs := make([]uint64, len(as))
+	for i := range as {
+		outs[i] = fitted.out(as[i], bs[i])
+	}
+	m, err := FitIOFrom(mod, as, bs, truth, outs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fitted.PredictStream(as, bs)
+	got := make([]float64, 4)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = m.PredictStream(as, bs)
+		}()
+	}
+	wg.Wait()
+	for g, v := range got {
+		if math.Float64bits(v) != math.Float64bits(want) {
+			t.Errorf("goroutine %d: %v, want %v", g, v, want)
+		}
 	}
 }

@@ -90,6 +90,17 @@ type Enc struct{ buf []byte }
 // NewEnc returns an empty encoder.
 func NewEnc() *Enc { return &Enc{buf: make([]byte, 0, 256)} }
 
+// EncFrom returns an encoder whose encoding starts with a copy of
+// prefix (typically an earlier encoder's Data), with room for extra
+// more bytes. Keys derived from it are the keys of the whole encoding,
+// so a caller can encode a costly shared prefix once — a netlist's
+// structure — and extend it per input.
+func EncFrom(prefix []byte, extra int) *Enc {
+	buf := make([]byte, len(prefix), len(prefix)+extra)
+	copy(buf, prefix)
+	return &Enc{buf: buf}
+}
+
 func (e *Enc) word(v uint64) {
 	e.buf = binary.BigEndian.AppendUint64(e.buf, v)
 }

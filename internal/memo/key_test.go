@@ -125,6 +125,27 @@ func TestKeyDeterministic(t *testing.T) {
 	}
 }
 
+// TestEncFromPrefix: extending a copied prefix yields the key of the
+// whole encoding, for any size hint.
+func TestEncFromPrefix(t *testing.T) {
+	full := NewEnc()
+	full.String("tag")
+	HashNetlist(full, smallNetlist())
+	prefix := full.Data()
+	full.Uint64s([]uint64{1, 2, 3})
+	want := full.Key()
+	for _, extra := range []int{0, 1, 33, 1024} {
+		e := EncFrom(prefix, extra)
+		e.Uint64s([]uint64{1, 2, 3})
+		if got := e.Key(); got != want {
+			t.Fatalf("extra=%d: prefixed key %v, want %v", extra, got, want)
+		}
+		if e.Len() != full.Len() || len(prefix) != full.Len()-(9+3*8) {
+			t.Fatalf("extra=%d: encoding length %d, prefix %d", extra, e.Len(), len(prefix))
+		}
+	}
+}
+
 // TestKeySensitivity: mutating any single result-determining field —
 // RNG seed, budget cap, gate kind, cycle count, electrical parameter —
 // produces a different key.

@@ -126,7 +126,7 @@ func (s *Server) batchHooks(ctx context.Context, r *http.Request, emit func(serv
 	h := service.BatchHooks{
 		Budget:    func() *budget.Budget { return s.newBudget(ctx) },
 		Steps:     s.cfg.BatchSteps,
-		Item:      s.batchItem,
+		ItemLazy:  s.batchItem,
 		Emit:      emit,
 		GroupDone: groupDone,
 	}
@@ -163,8 +163,11 @@ func (s *Server) batchExec(name string, b *budget.Budget, op func(*budget.Budget
 // policy. It mirrors the single-item handlers exactly — same memo keys,
 // same stored value types, same cacheability rules — so a batch item is
 // indistinguishable from a single request in the cache: either can
-// populate an entry the other replays, bit for bit.
-func (s *Server) batchItem(ctx context.Context, runner *service.GroupRunner, b *budget.Budget, idx int, it service.BatchItem) (service.BatchItemResult, error) {
+// populate an entry the other replays, bit for bit. The item's budget
+// is built only inside a memo computation, so hits never build one.
+// While a fault plan is armed the memo is off, every item computes, and
+// the per-request fault seeds are drawn in submission order.
+func (s *Server) batchItem(ctx context.Context, runner *service.GroupRunner, mkBudget func() *budget.Budget, idx int, it service.BatchItem) (service.BatchItemResult, error) {
 	out := service.BatchItemResult{Index: idx, ID: it.ID, Op: it.Op}
 	var err error
 	switch it.Op {
@@ -173,7 +176,7 @@ func (s *Server) batchItem(ctx context.Context, runner *service.GroupRunner, b *
 		var v any
 		var cached bool
 		v, cached, err = s.memoDo(s.keys.Simulate(req), func() (any, int64, bool, error) {
-			rv, err := s.batchExec("sim", b, func(eb *budget.Budget) (any, error) {
+			rv, err := s.batchExec("sim", mkBudget(), func(eb *budget.Budget) (any, error) {
 				return runner.Simulate(eb, req)
 			})
 			if err != nil {
@@ -200,7 +203,7 @@ func (s *Server) batchItem(ctx context.Context, runner *service.GroupRunner, b *
 		var v any
 		var cached bool
 		v, cached, err = s.memoDo(s.keys.Rank(req), func() (any, int64, bool, error) {
-			rv, err := s.batchExec("rank", b, func(eb *budget.Budget) (any, error) {
+			rv, err := s.batchExec("rank", mkBudget(), func(eb *budget.Budget) (any, error) {
 				return runner.Rank(ctx, eb, req)
 			})
 			if err != nil {
@@ -227,7 +230,7 @@ func (s *Server) batchItem(ctx context.Context, runner *service.GroupRunner, b *
 		var v any
 		var cached bool
 		v, cached, err = s.memoDo(s.keys.BDD(tt, req.Vars), func() (any, int64, bool, error) {
-			rv, err := s.batchExec("bdd", b, func(eb *budget.Budget) (any, error) {
+			rv, err := s.batchExec("bdd", mkBudget(), func(eb *budget.Budget) (any, error) {
 				return runner.BDD(ctx, eb, req)
 			})
 			if err != nil {
@@ -255,7 +258,7 @@ func (s *Server) batchItem(ctx context.Context, runner *service.GroupRunner, b *
 		var v any
 		var cached bool
 		v, cached, err = s.memoDo(s.keys.Predict(req), func() (any, int64, bool, error) {
-			rv, err := s.batchExec("predict", b, func(eb *budget.Budget) (any, error) {
+			rv, err := s.batchExec("predict", mkBudget(), func(eb *budget.Budget) (any, error) {
 				return runner.Predict(eb, req)
 			})
 			if err != nil {

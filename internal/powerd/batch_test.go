@@ -3,6 +3,7 @@ package powerd
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"math"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"hlpower/internal/budget"
 	"hlpower/internal/cluster"
 	"hlpower/internal/resilience"
 	"hlpower/internal/service"
@@ -422,5 +424,47 @@ func BenchmarkBatchFused(b *testing.B) {
 		if resp.StatusCode != 200 {
 			b.Fatal(resp.StatusCode)
 		}
+	}
+}
+
+// TestBatchFaultSeedOrder: while a fault plan is armed the memo is off,
+// so every batch item builds its budget — and draws its per-request
+// fault seed — in submission order. Item i of a fresh server's first
+// batch must therefore fail or succeed exactly as the same simulation
+// under a budget seeded plan.Seed+i+1.
+func TestBatchFaultSeedOrder(t *testing.T) {
+	cfg := testConfig()
+	cfg.FailureThreshold = 1000 // keep the breaker closed: every item runs
+	srv, ts := newMemoTestServer(t, cfg)
+	plan := budget.FaultPlan{Prob: 0.15, Seed: 99}
+	srv.SetFaultPlan(plan)
+	var items []service.BatchItem
+	for i := 0; i < 24; i++ {
+		items = append(items, service.BatchItem{Op: service.OpSimulate,
+			Simulate: &simulateRequest{Circuit: "adder", Width: 6, Cycles: 256, Seed: int64(i % 4), Workers: 1}})
+	}
+	status, resp := postAs[service.BatchResponse](t, ts, "/v1/batch", service.BatchRequest{Items: items})
+	if status != http.StatusOK {
+		t.Fatalf("status %d", status)
+	}
+	var ref service.Local
+	failed := 0
+	for i, it := range items {
+		p := plan
+		p.Seed += int64(i + 1)
+		b := budget.New(budget.WithCheckInterval(cfg.CheckInterval), budget.WithMaxSteps(cfg.MaxSteps), budget.WithFaultPlan(p))
+		want, werr := ref.Simulate(context.Background(), b, *it.Simulate)
+		got := resp.Items[i]
+		switch {
+		case (werr != nil) != (got.Error != nil):
+			t.Fatalf("item %d: batch error %+v, seeded reference error %v", i, got.Error, werr)
+		case werr != nil:
+			failed++
+		case got.Simulate.Cached || math.Float64bits(got.Simulate.Power) != math.Float64bits(want.Power()):
+			t.Fatalf("item %d: batch %+v, reference power %v", i, got.Simulate, want.Power())
+		}
+	}
+	if failed == 0 || failed == len(items) {
+		t.Fatalf("%d of %d items faulted: the plan does not discriminate seeds", failed, len(items))
 	}
 }

@@ -444,3 +444,30 @@ func TestStatsSurfaceBDDTables(t *testing.T) {
 		t.Fatalf("JSON stats lookups %d != snapshot %d", body.BDDTables.Unique.Lookups, st.Unique.Lookups)
 	}
 }
+
+// TestPredictTrainingChargedToBudget: a predict's training simulation
+// is charged to the request budget, so a long training stream with a
+// short evaluation stream exhausts MaxSteps — a typed budget error,
+// counted by the predict breaker — instead of running unbounded.
+func TestPredictTrainingChargedToBudget(t *testing.T) {
+	cfg := testConfig()
+	cfg.MaxSteps = 200_000
+	cfg.Retry.MaxAttempts = 1
+	s := NewServer(cfg)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	ok := predictRequest{Circuit: "adder", Width: 8, Model: "io", Train: 64, Eval: 64, Seed: 1}
+	if resp, out := post(t, ts, "/v1/predict", ok); resp.StatusCode != http.StatusOK {
+		t.Fatalf("small predict: %d %v", resp.StatusCode, out)
+	}
+	heavy := ok
+	heavy.Train = 100_000
+	resp, out := post(t, ts, "/v1/predict", heavy)
+	if resp.StatusCode != http.StatusServiceUnavailable || out["kind"] != "budget-exceeded" {
+		t.Fatalf("train-heavy predict: got %d %v, want 503 budget-exceeded", resp.StatusCode, out)
+	}
+	if st := s.Breaker("predict").Stats(); st.Failures != 1 || st.Successes != 1 {
+		t.Fatalf("predict breaker: %+v, want 1 success and 1 failure", st)
+	}
+}

@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"hlpower/internal/bitutil"
-	"hlpower/internal/budget"
 	"hlpower/internal/logic"
 	"hlpower/internal/sim"
 )
@@ -271,13 +270,6 @@ func (m *Module) OutputWord(out []bool) uint64 {
 // SimulateStream runs the module over paired operand streams and returns
 // the simulation result under the given delay model.
 func (m *Module) SimulateStream(aStream, bStream []uint64, model sim.DelayModel) (*sim.Result, error) {
-	return m.SimulateStreamBudget(nil, aStream, bStream, model) // nil budget never trips
-}
-
-// SimulateStreamBudget is SimulateStream governed by a resource budget,
-// so characterization streams respect deadlines, cancellation, and
-// injected faults like every other estimation stage.
-func (m *Module) SimulateStreamBudget(bud *budget.Budget, aStream, bStream []uint64, model sim.DelayModel) (*sim.Result, error) {
 	if len(bStream) > 0 && len(aStream) != len(bStream) {
 		return nil, fmt.Errorf("rtlib: stream lengths differ (%d vs %d)", len(aStream), len(bStream))
 	}
@@ -292,7 +284,7 @@ func (m *Module) SimulateStreamBudget(bud *budget.Budget, aStream, bStream []uin
 	// combinational, so zero-delay streams ride the 64-lane kernel and
 	// event-driven streams fall back to the scalar engine, with
 	// bit-identical results and step accounting either way.
-	return sim.RunPackedBudget(bud, m.Net, prov, len(aStream), sim.Options{Model: model})
+	return sim.RunPacked(m.Net, prov, len(aStream), sim.Options{Model: model})
 }
 
 // EnergyPerPair measures the average switched capacitance per input pair

@@ -14,8 +14,8 @@ import (
 // items submitted as one request. The pipeline partitions them into
 // groups that share compiled artifacts — every simulate item over one
 // (circuit, width) shares a single sim.Compile (netlist tables + packed
-// program + pooled kernel scratch), predict items share the module,
-// bdd items share the materialized truth table — so per-request setup
+// program + pooled kernel scratch), predict items share that same
+// compiled artifact, bdd items share the materialized truth table — so per-request setup
 // cost is paid once per group instead of once per item. Items are
 // validated individually: a malformed item becomes a typed per-item
 // error and never poisons its group, and a failed computation (budget
@@ -284,15 +284,15 @@ func PartitionBatch(items []BatchItem) BatchPlan {
 type GroupRunner struct {
 	l    *Local
 	g    BatchGroup
-	mod  *rtlib.Module // simulate, predict
+	mod  *rtlib.Module // simulate
 	comp *sim.Compiled // simulate
-	art  *artifact     // simulate: promotion hotness accounting
+	art  *artifact     // simulate, predict
 	tt   []bool        // bdd
 }
 
 // NewGroupRunner compiles the shared artifacts of one partition group:
-// the module and packed-kernel program for simulate groups, the module
-// for predict groups, the materialized truth table for bdd groups. An
+// the module and packed-kernel program for simulate and predict groups,
+// the materialized truth table for bdd groups. An
 // error fails the whole group — by construction it would fail every
 // item identically.
 func (l *Local) NewGroupRunner(g BatchGroup) (*GroupRunner, error) {
@@ -314,7 +314,7 @@ func (l *Local) NewGroupRunner(g BatchGroup) (*GroupRunner, error) {
 		if aerr != nil {
 			return nil, aerr
 		}
-		r.mod = art.mod
+		r.art = art
 	case OpBDD:
 		if r.tt, err = TruthTable(g.Function, g.Vars); err != nil {
 			return nil, err
@@ -368,9 +368,10 @@ func (r *GroupRunner) Rank(ctx context.Context, b *budget.Budget, req RankReques
 	return r.l.Rank(ctx, b, req)
 }
 
-// Predict runs one predict item over the group's shared module.
+// Predict runs one predict item over the group's shared artifact.
+// Bit-identical to Local.Predict for the same request.
 func (r *GroupRunner) Predict(b *budget.Budget, req PredictRequest) (PredictResponse, error) {
-	return r.l.predictWith(b, r.mod, req)
+	return r.l.predictWith(b, r.art, req)
 }
 
 // RunItem computes one item into its wire result (without serving-layer
@@ -440,6 +441,14 @@ type BatchHooks struct {
 	// seam for memoization, singleflight, and breaker accounting. The
 	// default is runner.RunItem.
 	Item func(ctx context.Context, runner *GroupRunner, b *budget.Budget, idx int, it BatchItem) (BatchItemResult, error)
+	// ItemLazy is Item with the item's budget built on demand: mkBudget
+	// returns it, calling Budget on its first use only, and is valid
+	// only during the call. A memoizing hook calls it only when the item
+	// actually computes, so memo hits never build a budget (and its
+	// timeout context). Items are run in submission order, so the items
+	// that do build one build them in that order too. It takes
+	// precedence over Item.
+	ItemLazy func(ctx context.Context, runner *GroupRunner, mkBudget func() *budget.Budget, idx int, it BatchItem) (BatchItemResult, error)
 	// Emit, when set, receives every result as it is produced: rejected
 	// items first, then each group's items in submission order. The
 	// streaming transport writes NDJSON lines here.
@@ -489,13 +498,26 @@ func (l *Local) Batch(ctx context.Context, req BatchRequest, h BatchHooks) Batch
 		}
 		return h.Budget()
 	}
-	runItem := h.Item
+	runItem := h.ItemLazy
 	if runItem == nil {
-		runItem = func(ctx context.Context, r *GroupRunner, b *budget.Budget, idx int, it BatchItem) (BatchItemResult, error) {
-			return r.RunItem(ctx, b, idx, it)
+		runItem = func(ctx context.Context, r *GroupRunner, mkBudget func() *budget.Budget, idx int, it BatchItem) (BatchItemResult, error) {
+			if h.Item != nil {
+				return h.Item(ctx, r, mkBudget(), idx, it)
+			}
+			return r.RunItem(ctx, mkBudget(), idx, it)
 		}
 	}
 
+	// One lazy budget slot serves every item in turn: items run one at a
+	// time, and mkBudget is only valid during its item's hook call.
+	var b *budget.Budget
+	built := false
+	mkBudget := func() *budget.Budget {
+		if !built {
+			b, built = newBudget(), true
+		}
+		return b
+	}
 	var stepsUsed int64
 	exhausted := false
 	for _, g := range plan.Groups {
@@ -527,8 +549,8 @@ func (l *Local) Batch(ctx context.Context, req BatchRequest, h BatchHooks) Batch
 			case rerr != nil:
 				out.Error = batchErrorFor(rerr)
 			default:
-				b := newBudget()
-				r, err := runItem(ctx, runner, b, idx, it)
+				b, built = nil, false
+				r, err := runItem(ctx, runner, mkBudget, idx, it)
 				if err != nil {
 					out.Error = batchErrorFor(err)
 				} else {

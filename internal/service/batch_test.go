@@ -388,3 +388,64 @@ func FuzzBatchRequest(f *testing.F) {
 		}
 	})
 }
+
+// TestBatchLazyBudget: with ItemLazy, only items whose hook asks for a
+// budget build one — a memoizing hook's hits build none — and StepsUsed
+// sums exactly the budgets that were built. The eager Item hook still
+// gets one budget per item.
+func TestBatchLazyBudget(t *testing.T) {
+	svc := &Local{}
+	var items []BatchItem
+	for i := 0; i < 6; i++ {
+		// Seeds repeat, so items 3..5 replay items 0..2.
+		items = append(items, BatchItem{Op: OpSimulate,
+			Simulate: &SimulateRequest{Circuit: "adder", Width: 6, Cycles: 64, Seed: int64(i % 3)}})
+	}
+	var built []*budget.Budget
+	mk := func() *budget.Budget {
+		b := budget.New()
+		built = append(built, b)
+		return b
+	}
+	memo := make(map[int64]BatchItemResult)
+	resp := svc.Batch(context.Background(), BatchRequest{Items: items}, BatchHooks{
+		Budget: mk,
+		ItemLazy: func(ctx context.Context, r *GroupRunner, mkBudget func() *budget.Budget, idx int, it BatchItem) (BatchItemResult, error) {
+			if hit, ok := memo[it.Simulate.Seed]; ok {
+				return hit, nil
+			}
+			res, err := r.RunItem(ctx, mkBudget(), idx, it)
+			if err == nil {
+				memo[it.Simulate.Seed] = res
+			}
+			return res, err
+		},
+	})
+	if resp.Failed != 0 {
+		t.Fatalf("failed items: %+v", resp.Items)
+	}
+	if len(built) != 3 {
+		t.Fatalf("built %d budgets for 3 computed items and 3 hits", len(built))
+	}
+	var steps int64
+	for _, b := range built {
+		if b.StepsUsed() <= 0 {
+			t.Fatal("a built budget was never charged")
+		}
+		steps += b.StepsUsed()
+	}
+	if resp.StepsUsed != steps {
+		t.Fatalf("StepsUsed=%d, want the built budgets' %d", resp.StepsUsed, steps)
+	}
+
+	built = nil
+	resp = svc.Batch(context.Background(), BatchRequest{Items: items}, BatchHooks{
+		Budget: mk,
+		Item: func(ctx context.Context, r *GroupRunner, b *budget.Budget, idx int, it BatchItem) (BatchItemResult, error) {
+			return r.RunItem(ctx, b, idx, it)
+		},
+	})
+	if resp.Failed != 0 || len(built) != len(items) {
+		t.Fatalf("eager hook: %d failed, %d budgets for %d items", resp.Failed, len(built), len(items))
+	}
+}

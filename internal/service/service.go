@@ -256,13 +256,16 @@ type artifactEntry struct {
 
 // artifact is the per-(circuit,width) hot-path state every estimation
 // reuses: construction, levelization, fusion, and scratch pooling are
-// paid once per netlist shape, not once per request. hits counts
-// non-degraded serves toward codegen promotion; promoting guards the
-// single background build; promoteFailed pins the artifact to the
-// fused tier after a failed build.
+// paid once per netlist shape, not once per request. truthKey is the
+// module's encoded ground-truth memo key prefix (netlist hash included),
+// so predict keys never rehash the netlist. hits counts non-degraded
+// serves toward codegen promotion; promoting guards the single
+// background build; promoteFailed pins the artifact to the fused tier
+// after a failed build.
 type artifact struct {
 	mod           *rtlib.Module
 	comp          *sim.Compiled
+	truthKey      []byte
 	hits          atomic.Int64
 	promoting     atomic.Bool
 	promoteFailed atomic.Bool
@@ -319,7 +322,7 @@ func (l *Local) artifactFor(circuit string, width int) (*artifact, error) {
 			e.err = err
 			return
 		}
-		e.art = &artifact{mod: mod, comp: comp}
+		e.art = &artifact{mod: mod, comp: comp, truthKey: macromodel.TruthKeyPrefix(mod)}
 	})
 	return e.art, e.err
 }
@@ -345,17 +348,22 @@ func (l *Local) codegenThreshold() int64 {
 // would serve, and promotion can never launder a faulted result into
 // the steady state.
 func (l *Local) noteServe(a *artifact, faultArmed bool) (noCodegen bool) {
-	thr := l.codegenThreshold()
-	if faultArmed || thr == 0 {
+	if l.noCodegen(faultArmed) {
 		return true
 	}
 	if a.comp.HasCodegen() || a.promoteFailed.Load() {
 		return false
 	}
-	if a.hits.Add(1) >= thr && a.promoting.CompareAndSwap(false, true) {
+	if a.hits.Add(1) >= l.codegenThreshold() && a.promoting.CompareAndSwap(false, true) {
 		go l.promote(a)
 	}
 	return false
+}
+
+// noCodegen reports whether a run must stay off the codegen tier:
+// fault-armed runs, and every run while promotion is disabled.
+func (l *Local) noCodegen(faultArmed bool) bool {
+	return faultArmed || l.codegenThreshold() == 0
 }
 
 // promote builds an artifact's specialized evaluator off the request
@@ -426,7 +434,8 @@ type KernelStats struct {
 	ArtifactBuilds int64 `json:"artifact_builds"`
 	// Tiers counts estimation runs served per kernel tier ("scalar",
 	// "packed", "fused", "codegen") across every artifact path —
-	// single requests, batch items, and rank candidates.
+	// single requests, batch items, rank candidates, and predict's
+	// characterization runs.
 	Tiers map[string]int64 `json:"tiers,omitempty"`
 	// Codegen promotion lifecycle: background specialized-evaluator
 	// builds started, builds that failed (the artifact then serves the
@@ -738,53 +747,81 @@ func (l *Local) BDD(_ context.Context, b *budget.Budget, req BDDRequest, tt []bo
 }
 
 // Predict fits the requested macro-model and compares it against
-// budgeted ground truth. The ground-truth trace of the evaluation
-// stream is memoized when a cache is supplied (keyed on the module's
-// netlist structure and the exact streams), so requesting the four
-// model types for one circuit performs one evaluation simulation, not
-// four.
+// budgeted ground truth. Every simulation runs over the cached compiled
+// artifact and is charged to b: the training trace, the evaluation
+// trace, and — for the input–output model — the module's output words,
+// taken from the same packed passes rather than a gate-by-gate walk.
+// The evaluation trace is memoized when a cache is supplied (keyed on
+// the module's netlist structure and the exact streams), so requesting
+// the four model types for one circuit performs one evaluation
+// simulation, not four. Responses are bit-identical to fitting with
+// macromodel.FitX, GroundTruth and PredictStream.
 func (l *Local) Predict(_ context.Context, b *budget.Budget, req PredictRequest) (PredictResponse, error) {
 	art, err := l.artifactFor(req.Circuit, req.Width)
 	if err != nil {
 		return PredictResponse{}, err
 	}
-	return l.predictWith(b, art.mod, req)
+	return l.predictWith(b, art, req)
 }
 
-// predictWith is Predict with the module already built, so a batch
-// group fitting many models over one circuit constructs it once.
-func (l *Local) predictWith(b *budget.Budget, mod *rtlib.Module, req PredictRequest) (PredictResponse, error) {
+// predictWith is Predict with the artifact already resolved, so a batch
+// group fitting many models over one circuit looks it up once.
+func (l *Local) predictWith(b *budget.Budget, art *artifact, req PredictRequest) (PredictResponse, error) {
 	if err := CheckCycles(req.Train); err != nil {
 		return PredictResponse{}, err
 	}
 	if err := CheckCycles(req.Eval); err != nil {
 		return PredictResponse{}, err
 	}
-	trainA, trainB := OperandStreams(req.Train, req.Width, req.Seed)
-	evalA, evalB := OperandStreams(req.Eval, req.Width, req.Seed+1)
-	var m macromodel.Model
-	var err error
-	switch req.Model {
-	case "pfa":
-		m, err = macromodel.FitPFA(mod, trainA, trainB, sim.ZeroDelay)
-	case "dbt":
-		m, err = macromodel.FitDBT(mod, trainA, trainB, sim.ZeroDelay)
-	case "bitwise":
-		m, err = macromodel.FitBitwise(mod, trainA, trainB, sim.ZeroDelay)
-	case "io":
-		m, err = macromodel.FitIO(mod, trainA, trainB, sim.ZeroDelay)
-	default:
+	if !KnownModel(req.Model) {
 		return PredictResponse{}, hlerr.Errorf("service.predict", "unknown model %q", req.Model)
 	}
+	mod := art.mod
+	io := req.Model == "io"
+	trainA, trainB := OperandStreams(req.Train, req.Width, req.Seed)
+	evalA, evalB := OperandStreams(req.Eval, req.Width, req.Seed+1)
+	truth, trainOuts, err := l.characterize(b, art, trainA, trainB, io)
 	if err != nil {
 		return PredictResponse{}, err
 	}
-	truth, err := macromodel.GroundTruthMemo(l.cache(), b, mod, evalA, evalB, sim.ZeroDelay)
+	var m macromodel.Model
+	switch req.Model {
+	case "pfa":
+		m, err = macromodel.FitPFAFrom(mod, trainA, trainB, truth)
+	case "dbt":
+		m, err = macromodel.FitDBTFrom(mod, trainA, trainB, truth)
+	case "bitwise":
+		m, err = macromodel.FitBitwiseFrom(mod, trainA, trainB, truth)
+	default: // "io"
+		m, err = macromodel.FitIOFrom(mod, trainA, trainB, truth, trainOuts)
+	}
 	if err != nil {
 		return PredictResponse{}, err
 	}
-	measured := macromodel.MeanAbs(truth)
-	predicted := m.PredictStream(evalA, evalB)
+	// A leader computing the evaluation trace for the IO model keeps its
+	// output words; a memo hit (or a concurrent leader) leaves them to a
+	// separate pass below.
+	var evalOuts []uint64
+	evalTruth, err := macromodel.GroundTruthMemo(l.cache(), b, art.truthKey, sim.ZeroDelay, evalA, evalB, func() ([]float64, error) {
+		t, outs, err := l.characterize(b, art, evalA, evalB, io)
+		evalOuts = outs
+		return t, err
+	})
+	if err != nil {
+		return PredictResponse{}, err
+	}
+	var predicted float64
+	if io {
+		if evalOuts == nil {
+			if _, evalOuts, err = l.characterize(b, art, evalA, evalB, true); err != nil {
+				return PredictResponse{}, err
+			}
+		}
+		predicted = m.(*macromodel.IOModel).PredictWords(evalA, evalB, evalOuts)
+	} else {
+		predicted = m.PredictStream(evalA, evalB)
+	}
+	measured := macromodel.MeanAbs(evalTruth)
 	errPct := 0.0
 	if measured != 0 {
 		errPct = 100 * abs(predicted-measured) / measured
@@ -793,6 +830,39 @@ func (l *Local) predictWith(b *budget.Budget, mod *rtlib.Module, req PredictRequ
 		Circuit: req.Circuit, Model: req.Model,
 		Predicted: predicted, Measured: measured, AbsErrPct: errPct,
 	}, nil
+}
+
+// characterize simulates one characterization stream over the artifact
+// under b and returns its per-cycle ground truth — the warm-up cycle
+// dropped, exactly as macromodel.GroundTruth reports it — and, when
+// outs is set, the module's settled output word per stream element.
+// Workers: 1 keeps the run on one shard charged to b directly; a lean
+// run computes the trace in the same canonical order as a full one.
+// The run takes a promoted evaluator under the usual codegen policy and
+// counts toward the tier counters, but not toward promotion hotness: a
+// predict is two or three runs, and counting them would let one predict
+// stand in for several serves.
+func (l *Local) characterize(b *budget.Budget, art *artifact, as, bs []uint64, outs bool) ([]float64, []uint64, error) {
+	mod := art.mod
+	res, err := art.comp.Run(b, func(c int) []bool { return mod.InputVector(as[c], bs[c]) }, len(as), sim.RunOptions{
+		Workers:   1,
+		Words:     func(c int) uint64 { return mod.InputWord(as[c], bs[c]) },
+		Lean:      !outs,
+		NoCodegen: l.noCodegen(b.FaultArmed()),
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	l.noteTier(res.Kernel)
+	truth := res.PerCycleCap[1:]
+	if !outs {
+		return truth, nil, nil
+	}
+	words := make([]uint64, len(res.Outputs))
+	for i, o := range res.Outputs {
+		words[i] = mod.OutputWord(o)
+	}
+	return truth, words, nil
 }
 
 func abs(x float64) float64 {
